@@ -5,13 +5,18 @@
 //!   mask-sparse max–min kernels,
 //! - `peer_allocation`: the same three forms of the rarest-first kernel,
 //! - `sim_round`: full simulated rounds per wall-second, per engine (the
-//!   end-to-end run divided by its round count),
+//!   end-to-end run divided by its round count), plus one giant channel
+//!   (a 1 h flash crowd peaking near 300k viewers) reported in ns per
+//!   viewer-round, the cost of the per-viewer demand scan and download
+//!   advance,
 //! - `simulator_e2e`: the week-long experiment at a reduced horizon, per
 //!   engine and streaming mode.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::time::Instant;
 
+use cloudmedia_bench::scale::flash_crowd_config;
 use cloudmedia_sim::allocation::{
     allocate_pool, allocate_pool_into, allocate_pool_sparse, peer_allocation, peer_allocation_into,
     peer_allocation_sparse, ChannelRound,
@@ -139,6 +144,39 @@ fn bench_sim_round(c: &mut Criterion) {
             });
         }
     }
+    // One giant channel on the serial single-lane engine: nearly all of
+    // the run is the per-viewer kernel, so time per viewer-round tracks
+    // it. Viewer-rounds come from the run's own occupancy samples.
+    let mut cfg = flash_crowd_config(50_000.0, 1.0);
+    cfg.parallel_channels = false;
+    let metrics = Simulator::new(cfg.clone())
+        .expect("config is valid")
+        .run()
+        .expect("run succeeds");
+    let rounds_per_sample = cfg.sample_interval / cfg.round_seconds;
+    let viewer_rounds: f64 = metrics
+        .samples
+        .iter()
+        .map(|x| x.active_peers as f64 * rounds_per_sample)
+        .sum();
+    let (mut ns, mut runs) = (0.0_f64, 0u32);
+    group.bench_function("flash_crowd_1ch/serial", |b| {
+        b.iter(|| {
+            let t0 = Instant::now();
+            let m = Simulator::new(cfg.clone())
+                .expect("config is valid")
+                .run()
+                .expect("run succeeds");
+            ns += t0.elapsed().as_nanos() as f64;
+            runs += 1;
+            m
+        })
+    });
+    println!(
+        "bench {:<50} {:>10.3} ns/viewer-round",
+        "sim_round/flash_crowd_1ch/serial",
+        ns / f64::from(runs) / viewer_rounds
+    );
     group.finish();
 }
 

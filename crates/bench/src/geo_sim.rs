@@ -212,30 +212,50 @@ pub fn section(modes: Vec<ModeComparison>) -> GeoFederationSection {
     }
 }
 
+/// Schema tag of a benchmark file `append_section` creates from scratch.
+const BENCH_SCHEMA: &str = "cloudmedia-bench-sim/v1";
+
 /// Appends (or refreshes) a named JSON section inside the benchmark
-/// file, assuming sections are appended in regeneration order
-/// (`bench_sim`, `bench_des`, then this) so each marker-to-end
-/// replacement is lossless for earlier sections.
+/// file. The file and the section are merged as parsed JSON values: an
+/// existing `marker_key` is replaced in place, a new one is appended
+/// after every other section, and all other sections are kept in their
+/// order. A missing file starts as `{"schema": ...}`.
+///
+/// # Errors
+///
+/// Fails without writing anything when the file or `section_json` is
+/// not valid JSON or the file is not a JSON object, and on I/O errors.
 pub fn append_section(out_path: &str, marker_key: &str, section_json: &str) -> std::io::Result<()> {
-    let marker = format!("\"{marker_key}\":");
-    let base = match std::fs::read_to_string(out_path) {
-        Ok(text) => {
-            let text = text.trim_end();
-            if let Some(i) = text.find(&marker) {
-                text[..i]
-                    .trim_end()
-                    .trim_end_matches(',')
-                    .trim_end()
-                    .to_string()
-            } else {
-                text.strip_suffix('}')
-                    .map(|s| s.trim_end().to_string())
-                    .unwrap_or_else(|| "{\n  \"schema\": \"cloudmedia-bench-sim/v1\"".into())
-            }
-        }
-        Err(_) => "{\n  \"schema\": \"cloudmedia-bench-sim/v1\"".into(),
+    let invalid = |what: &str, e: serde_json::Error| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{what}: {e}"))
     };
-    std::fs::write(out_path, format!("{base},\n  {marker} {section_json}\n}}"))
+    let section: serde::Value =
+        serde_json::from_str(section_json).map_err(|e| invalid("section", e))?;
+    let mut fields = match std::fs::read_to_string(out_path) {
+        Ok(text) => match serde_json::from_str(&text).map_err(|e| invalid(out_path, e))? {
+            serde::Value::Object(fields) => fields,
+            _ => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("{out_path}: not a JSON object"),
+                ))
+            }
+        },
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            vec![(
+                "schema".to_string(),
+                serde::Value::String(BENCH_SCHEMA.into()),
+            )]
+        }
+        Err(e) => return Err(e),
+    };
+    match fields.iter_mut().find(|(k, _)| k == marker_key) {
+        Some((_, v)) => *v = section,
+        None => fields.push((marker_key.to_string(), section)),
+    }
+    let text = serde_json::to_string_pretty(&serde::Value::Object(fields))
+        .map_err(|e| invalid("render", e))?;
+    std::fs::write(out_path, text + "\n")
 }
 
 #[cfg(test)]
@@ -279,18 +299,79 @@ mod tests {
         assert!(r.central.peak_peers() > max_region);
     }
 
+    /// A fresh scratch path for one `append_section` test.
+    fn scratch_file(name: &str, contents: Option<&str>) -> String {
+        let dir = std::env::temp_dir().join("cloudmedia-append-section-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        if let Some(text) = contents {
+            std::fs::write(&path, text).unwrap();
+        }
+        path.to_str().unwrap().to_string()
+    }
+
+    fn keys(path: &str) -> Vec<String> {
+        let text = std::fs::read_to_string(path).unwrap();
+        match serde_json::from_str(&text).unwrap() {
+            serde::Value::Object(fields) => fields.into_iter().map(|(k, _)| k).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn append_section_fills_an_empty_object() {
+        let path = scratch_file("empty.json", Some("{}"));
+        append_section(&path, "geo_federation", "{\"a\": 1}").unwrap();
+        assert_eq!(keys(&path), ["geo_federation"]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let parsed: serde::Value = serde_json::from_str(&text).unwrap();
+        assert_eq!(
+            parsed.get("geo_federation").and_then(|s| s.get("a")),
+            Some(&serde::Value::UInt(1))
+        );
+    }
+
+    #[test]
+    fn append_section_replaces_a_middle_section_in_place() {
+        let path = scratch_file(
+            "middle.json",
+            Some(r#"{"schema": "s", "first": 1, "middle": {"old": true}, "last": [1.5, 2]}"#),
+        );
+        append_section(&path, "middle", "{\"new\": 2}").unwrap();
+        assert_eq!(keys(&path), ["schema", "first", "middle", "last"]);
+        let parsed: serde::Value =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(
+            parsed.get("middle").and_then(|m| m.get("new")),
+            Some(&serde::Value::UInt(2))
+        );
+        assert_eq!(parsed.get("middle").and_then(|m| m.get("old")), None);
+        assert_eq!(
+            parsed.get("last"),
+            Some(&serde::Value::Array(vec![
+                serde::Value::Float(1.5),
+                serde::Value::UInt(2)
+            ]))
+        );
+    }
+
     #[test]
     fn append_section_is_idempotent_per_key() {
-        let dir = std::env::temp_dir().join("cloudmedia-geo-fed-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench.json");
-        let path = path.to_str().unwrap();
-        let _ = std::fs::remove_file(path);
-        append_section(path, "geo_federation", "{\"a\": 1}").unwrap();
-        append_section(path, "geo_federation", "{\"a\": 2}").unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        let parsed: serde::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(text.matches("geo_federation").count(), 1, "{text}");
-        drop(parsed);
+        let path = scratch_file("rerun.json", None);
+        append_section(&path, "geo_federation", "{\"a\": 1}").unwrap();
+        append_section(&path, "resilience", "[0.25, -3]").unwrap();
+        let once = std::fs::read_to_string(&path).unwrap();
+        append_section(&path, "geo_federation", "{\"a\": 1}").unwrap();
+        append_section(&path, "resilience", "[0.25, -3]").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), once);
+        assert_eq!(keys(&path), ["schema", "geo_federation", "resilience"]);
+    }
+
+    #[test]
+    fn append_section_refuses_a_file_it_cannot_parse() {
+        let path = scratch_file("broken.json", Some("{\"a\": "));
+        assert!(append_section(&path, "b", "{}").is_err());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"a\": ");
     }
 }

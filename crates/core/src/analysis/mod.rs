@@ -22,6 +22,9 @@ pub use p2p::{
 
 use serde::{Deserialize, Serialize};
 
+use crate::channel::ChannelModel;
+use crate::error::CoreError;
+
 /// How per-chunk VM demand is pooled before provisioning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum DemandPooling {
@@ -35,4 +38,21 @@ pub enum DemandPooling {
     /// Fig. 4/Fig. 7 scale.
     #[default]
     ChannelPooled,
+}
+
+/// Client–server upload demand per chunk, bytes/s, under `pooling` and
+/// `target`: what the cloud provisions without peers, and the baseline
+/// the P2P analysis offsets with peer contribution. The one place a
+/// pooling mode picks its capacity model.
+pub fn baseline_demand(
+    model: &ChannelModel,
+    pooling: DemandPooling,
+    target: ProvisioningTarget,
+) -> Result<Vec<f64>, CoreError> {
+    Ok(match pooling {
+        DemandPooling::PerChunk => capacity_demand_with_target(model, target)?.upload_demand,
+        DemandPooling::ChannelPooled => {
+            pooled_capacity_demand_with_target(model, target)?.upload_demand
+        }
+    })
 }

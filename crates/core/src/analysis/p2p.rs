@@ -28,11 +28,8 @@ pub static SHERMAN_MORRISON_FALLBACKS: GlobalCounter = GlobalCounter::new();
 
 #[cfg(test)]
 use crate::analysis::client_server::pooled_capacity_demand;
-use crate::analysis::client_server::{
-    capacity_demand, capacity_demand_with_target, pooled_capacity_demand_with_target,
-    CapacityDemand, ProvisioningTarget,
-};
-use crate::analysis::DemandPooling;
+use crate::analysis::client_server::{capacity_demand, CapacityDemand, ProvisioningTarget};
+use crate::analysis::{baseline_demand, DemandPooling};
 use crate::channel::ChannelModel;
 use crate::error::{invalid_param, CoreError};
 
@@ -61,6 +58,10 @@ pub struct P2pCapacity {
     /// Expected peer upload contribution `E(Γ_i)` per chunk, bytes/s
     /// (paper Eqn. 5).
     pub peer_contribution: Vec<f64>,
+    /// Baseline capacity per chunk that the peers offset, bytes/s: the
+    /// client–server upload demand under the analysis' pooling and
+    /// retrieval-time target (`R·m_i` for the paper's per-chunk model).
+    pub baseline: Vec<f64>,
     /// Expected capacity the cloud must supply per chunk,
     /// `E(Δ_i) = R·m_i − E(Γ_i)`, bytes/s.
     pub cloud_demand: Vec<f64>,
@@ -499,14 +500,10 @@ pub fn p2p_capacity_hetero(
         }
     }
 
-    let baseline: Vec<f64> = match opts.pooling {
-        DemandPooling::PerChunk => match opts.target {
-            ProvisioningTarget::MeanSojourn => demand.upload_demand.clone(),
-            other => capacity_demand_with_target(channel, other)?.upload_demand,
-        },
-        DemandPooling::ChannelPooled => {
-            pooled_capacity_demand_with_target(channel, opts.target)?.upload_demand
-        }
+    let baseline: Vec<f64> = match (opts.pooling, opts.target) {
+        // Already solved above.
+        (DemandPooling::PerChunk, ProvisioningTarget::MeanSojourn) => demand.upload_demand.clone(),
+        (pooling, target) => baseline_demand(channel, pooling, target)?,
     };
     let cloud_demand: Vec<f64> = (0..j_count)
         .map(|i| (baseline[i] - gamma[i]).max(0.0))
@@ -515,6 +512,7 @@ pub fn p2p_capacity_hetero(
         demand,
         replicas,
         peer_contribution: gamma,
+        baseline,
         cloud_demand,
     })
 }
@@ -522,6 +520,9 @@ pub fn p2p_capacity_hetero(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::client_server::{
+        capacity_demand_with_target, pooled_capacity_demand_with_target,
+    };
 
     fn channel(rate: f64) -> ChannelModel {
         ChannelModel::paper_default(0, rate)
@@ -713,6 +714,33 @@ mod tests {
         )
         .unwrap();
         assert_eq!(homo, hetero);
+    }
+
+    #[test]
+    fn exposed_baseline_is_the_client_server_demand_bit_for_bit() {
+        let c = channel(0.8);
+        let targets = [
+            ProvisioningTarget::MeanSojourn,
+            ProvisioningTarget::SojournQuantile { epsilon: 0.05 },
+        ];
+        for target in targets {
+            for pooling in [DemandPooling::PerChunk, DemandPooling::ChannelPooled] {
+                let opts = P2pAnalysisOptions {
+                    pooling,
+                    target,
+                    ..P2pAnalysisOptions::default()
+                };
+                let p = p2p_capacity_opts(&c, 40_000.0, opts).unwrap();
+                let expected = match pooling {
+                    DemandPooling::PerChunk => capacity_demand_with_target(&c, target),
+                    DemandPooling::ChannelPooled => pooled_capacity_demand_with_target(&c, target),
+                }
+                .unwrap()
+                .upload_demand;
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&p.baseline), bits(&expected), "{pooling:?} {target:?}");
+            }
+        }
     }
 
     #[test]

@@ -18,13 +18,11 @@ use cloudmedia_cloud::broker::SlaTerms;
 use cloudmedia_cloud::scheduler::{ChunkKey, PlacementPlan};
 use serde::{Deserialize, Serialize};
 
-use crate::analysis::client_server::{
-    capacity_demand_with_target, pooled_capacity_demand_with_target, ProvisioningTarget,
-};
+use crate::analysis::client_server::ProvisioningTarget;
 use crate::analysis::p2p::{
     p2p_capacity_hetero, p2p_capacity_opts, P2pAnalysisOptions, PsiEstimator, UploadClass,
 };
-use crate::analysis::DemandPooling;
+use crate::analysis::{baseline_demand, DemandPooling};
 use crate::channel::ChannelModel;
 use crate::error::{invalid_param, CoreError};
 use crate::predictor::{ChannelObservation, DemandPredictor, PredictorKind};
@@ -271,18 +269,10 @@ impl Controller {
                 alpha: predicted.alpha,
                 routing: predicted.routing.clone(),
             };
-            let baseline = |model: &ChannelModel| -> Result<Vec<f64>, CoreError> {
-                Ok(match self.config.pooling {
-                    DemandPooling::PerChunk => {
-                        capacity_demand_with_target(model, self.config.target)?.upload_demand
-                    }
-                    DemandPooling::ChannelPooled => {
-                        pooled_capacity_demand_with_target(model, self.config.target)?.upload_demand
-                    }
-                })
-            };
             let cloud_demand: Vec<f64> = match self.config.mode {
-                StreamingMode::ClientServer => baseline(&model)?,
+                StreamingMode::ClientServer => {
+                    baseline_demand(&model, self.config.pooling, self.config.target)?
+                }
                 StreamingMode::P2p { mean_upload, psi } => {
                     let opts = P2pAnalysisOptions {
                         psi,
@@ -294,11 +284,13 @@ impl Controller {
                         None => p2p_capacity_opts(&model, mean_upload, opts)?,
                     };
                     total_peer += p.total_peer_contribution();
-                    // Enforce the minimum fallback reserve per chunk.
+                    // Enforce the minimum fallback reserve per chunk,
+                    // against the baseline the analysis already derived
+                    // for the same model, pooling and target.
                     let floor = self.config.p2p_cloud_floor;
                     p.cloud_demand
                         .iter()
-                        .zip(&baseline(&model)?)
+                        .zip(&p.baseline)
                         .map(|(&d, &b)| d.max(floor * b))
                         .collect()
                 }

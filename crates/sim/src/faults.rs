@@ -491,6 +491,15 @@ impl FaultDriver {
         &self.retry
     }
 
+    /// Whether a boundary is due at or before `clock` (the round loops
+    /// time [`FaultDriver::apply_due`] only then).
+    #[inline]
+    pub(crate) fn is_due(&self, clock: f64) -> bool {
+        self.boundaries
+            .get(self.next)
+            .is_some_and(|&(at, _)| at <= clock)
+    }
+
     /// Applies every boundary due at or before `clock`: failures kill the
     /// configured fraction of running VMs and cap the fleet's
     /// availability; repairs lift the cap and resubmit the last planned
@@ -502,7 +511,7 @@ impl FaultDriver {
         cloud: &mut Cloud,
         last_plan_targets: &[usize],
     ) -> Result<(), SimError> {
-        while self.next < self.boundaries.len() && self.boundaries[self.next].0 <= clock {
+        while self.is_due(clock) {
             let (at, boundary) = self.boundaries[self.next];
             self.next += 1;
             let max_vms: Vec<usize> = cloud

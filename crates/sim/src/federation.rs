@@ -632,8 +632,11 @@ impl FederatedSimulator {
 
             // --- Global provisioning boundary ------------------------
             let mask = fc.base.faults.site_mask(n_sites, clock);
+            // Boundaries and re-plans are rare, so they are timed
+            // unsampled: a sampled lap would always time the bootstrap
+            // boundary at round 0 and scale it up.
             if clock >= next_provision {
-                let _interval_span = tel.span(telem::PROV_INTERVAL);
+                let interval_span = tel.span(telem::PROV_INTERVAL);
                 self.provision(
                     &mut regions,
                     clock,
@@ -644,15 +647,17 @@ impl FederatedSimulator {
                 )?;
                 next_provision += provisioning_interval;
                 site_mask = mask;
+                tel.add(telem::STAGE_PROVISIONING, interval_span.finish());
             } else if mask != site_mask {
                 // A site went dark (or came back) between boundaries:
                 // re-place the in-force plans around the new topology
                 // right now instead of waiting for the next hourly tick.
+                let _replan_span = tel.span(telem::STAGE_PROVISIONING);
                 self.emergency_replan(&mut regions, clock, &mask, &retry, &mut stats)?;
                 stats.emergency_replans += 1;
                 site_mask = mask;
             }
-            clk.lap(telem::STAGE_PROVISIONING);
+            clk.skip();
 
             // --- Per-region round (arrivals → allocate → progress) ---
             // Site online fractions feed every region's blended scale;

@@ -568,11 +568,15 @@ fn run_inner(
         clk.begin_round();
 
         // --- Fault boundaries (coordinator, serial) ------------------
-        fault_driver.apply_due(clock, &mut cloud, &last_plan_targets)?;
+        // Credited unsampled, like provisioning (see the serial run loop).
+        if fault_driver.is_due(clock) {
+            let _fault_span = tel.span(telem::STAGE_PROVISIONING);
+            fault_driver.apply_due(clock, &mut cloud, &last_plan_targets)?;
+        }
 
         // --- Provisioning boundary (coordinator, serial) ------------
         if clock >= next_provision {
-            let _interval_span = tel.span(telem::PROV_INTERVAL);
+            let interval_span = tel.span(telem::PROV_INTERVAL);
             let bootstrap = metrics.intervals.is_empty();
             let (budget_factor, price_factor) = cfg.faults.shock_factors(clock);
             if budget_factor != applied_budget_factor {
@@ -657,8 +661,10 @@ fn run_inner(
             stored.placement = None;
             last_plan = Some(stored);
             next_provision += cfg.provisioning_interval;
+            tel.add(telem::STAGE_PROVISIONING, interval_span.finish());
         }
-        clk.lap(telem::STAGE_PROVISIONING);
+        // Credited unsampled above (see the serial run loop).
+        clk.skip();
 
         // --- Round fan-out -------------------------------------------
         // Everything the shards read is snapshotted here (the read

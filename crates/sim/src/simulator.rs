@@ -141,15 +141,34 @@ const PAR_MIN_PEERS: usize = 16_384;
 /// so the f64 conversion is exact.
 pub(crate) const UPLOAD_SCALE: f64 = 1024.0;
 
+/// Exclusive upper bound of the fixed-point helpers' exact domain: below
+/// 2^53 an `f64`'s truncation fits `i64` and converts back to `f64`
+/// exactly, which makes the conversion-free rounding below bit-equal to
+/// `ceil` / `round`.
+const EXACT_LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
+
 /// Quantizes one peer's usable upload (`capacity × efficiency`) onto the
 /// fixed-point supply grid. Both engines call this — it is the single
 /// definition of a peer's supply contribution.
+///
+/// Rounds half away from zero like `f64::round`, without the libm call:
+/// on `0 ≤ x < 2^53` the fractional part `x − trunc(x)` is exact.
 #[inline]
 pub(crate) fn quantize_usable(capacity: f64, eff: f64) -> u64 {
-    (capacity * eff * UPLOAD_SCALE).round() as u64
+    let x = capacity * eff * UPLOAD_SCALE;
+    debug_assert!(
+        (0.0..EXACT_LIMIT).contains(&x),
+        "usable upload {x} off the grid"
+    );
+    let t = x as i64;
+    (t + i64::from(x - t as f64 >= 0.5)) as u64
 }
 
 /// Converts a fixed-point supply aggregate back to bytes/s.
+///
+/// Reads back through `i64`: one `cvtsi2sd`, where `u64 → f64` is a
+/// branchy multi-instruction sequence on the default x86-64 target. The
+/// two conversions agree on every value below 2^63.
 ///
 /// Public alongside [`quantize_rate`] so external harnesses (the bench
 /// crate's `catchup_kernel`) can replay the exact service recurrence
@@ -157,7 +176,8 @@ pub(crate) fn quantize_usable(capacity: f64, eff: f64) -> u64 {
 #[inline]
 #[must_use]
 pub fn dequantize(units: u64) -> f64 {
-    units as f64 * (1.0 / UPLOAD_SCALE)
+    debug_assert!(units <= i64::MAX as u64, "aggregate {units} overflows i64");
+    units as i64 as f64 * (1.0 / UPLOAD_SCALE)
 }
 
 /// Quantizes one download's requested rate for this round —
@@ -169,10 +189,23 @@ pub fn dequantize(units: u64) -> f64 {
 /// Rounds **up** so an almost-finished download (a sub-unit trickle)
 /// still requests a nonzero rate and can complete instead of stalling
 /// forever.
+///
+/// Every downloader pays this twice per round, so it rounds without
+/// `f64::ceil` (a libm call on the default x86-64 target, which lacks
+/// SSE4.1 `roundsd`) or a `u64` cast: on `0 ≤ x < 2^53` the truncation
+/// `t = x as i64` is exact and `t as f64 < x` holds exactly when `x` has
+/// a fractional part, so `t + (t < x)` is `ceil(x)` bit for bit. The
+/// domain holds because `x ≤ vm_bandwidth · 1024`.
 #[inline]
 #[must_use]
 pub fn quantize_rate(bytes_left: f64, inv_step: f64, vm_bandwidth: f64) -> u64 {
-    ((bytes_left * inv_step).min(vm_bandwidth) * UPLOAD_SCALE).ceil() as u64
+    let x = (bytes_left * inv_step).min(vm_bandwidth) * UPLOAD_SCALE;
+    debug_assert!(
+        (0.0..EXACT_LIMIT).contains(&x),
+        "requested rate {x} off the grid"
+    );
+    let t = x as i64;
+    (t + i64::from((t as f64) < x)) as u64
 }
 
 /// The system simulator. Construct with a [`SimConfig`] and call
@@ -944,8 +977,11 @@ impl WakeWheel {
         }
     }
 
+    /// `floor(wake_at / dt)` by truncation, exact for the non-negative
+    /// times the simulation clock produces (no libm `floor`).
     fn abs_bucket(&self, wake_at: f64) -> i64 {
-        (wake_at / self.dt).floor() as i64
+        debug_assert!(wake_at >= 0.0, "negative wake time {wake_at}");
+        (wake_at / self.dt) as i64
     }
 
     fn push(&mut self, slot: u32, wake_at: f64) {
@@ -988,7 +1024,7 @@ impl WakeWheel {
                 let wake_at = wake_of(slot);
                 // Same-revolution entries only; a far-future collision
                 // (> one revolution ahead) stays for a later pass.
-                if (wake_at / dt).floor() as i64 != drained {
+                if (wake_at / dt) as i64 != drained {
                     continue;
                 }
                 bucket.swap_remove(i);
@@ -2135,12 +2171,17 @@ fn run_loop<E: RoundEngine>(
         clk.begin_round();
 
         // --- Fault boundaries (fleet failures and repairs) ----------
-        fault_driver.apply_due(clock, &mut cloud, &last_plan_targets)?;
+        // Rare like the provisioning boundaries below, and credited to
+        // `stage/provisioning` the same way: unsampled, at scale 1.
+        if fault_driver.is_due(clock) {
+            let _fault_span = tel.span(telem::STAGE_PROVISIONING);
+            fault_driver.apply_due(clock, &mut cloud, &last_plan_targets)?;
+        }
 
         // --- Provisioning boundary ---------------------------------
         {
             if clock >= next_provision {
-                let _interval_span = tel.span(telem::PROV_INTERVAL);
+                let interval_span = tel.span(telem::PROV_INTERVAL);
                 let bootstrap = metrics.intervals.is_empty();
                 // Mid-run cost shocks: fold newly due budget factors into
                 // the planner once, and plan against the shocked price
@@ -2224,9 +2265,13 @@ fn run_loop<E: RoundEngine>(
                 stored.placement = None;
                 last_plan = Some(stored);
                 next_provision += cfg.provisioning_interval;
+                tel.add(telem::STAGE_PROVISIONING, interval_span.finish());
             }
         }
-        clk.lap(telem::STAGE_PROVISIONING);
+        // Boundaries are credited unsampled above: a sampled lap would
+        // always time the bootstrap boundary at round 0 and scale it up.
+        // The skip drops only the boundary checks of quiet rounds.
+        clk.skip();
 
         // --- Arrivals ----------------------------------------------
         let mut admitted_this_round = 0u64;
@@ -2790,6 +2835,48 @@ mod tests {
         cfg.trace.horizon_seconds = 6.0 * 3600.0;
         cfg.round_seconds = 10.0;
         cfg
+    }
+
+    /// The conversion-free supply rounding and wheel bucketing agree
+    /// bit for bit with `f64::round` / `f64::floor` on their domains
+    /// (`quantize_rate` / `dequantize` are covered by the public
+    /// `fixed_point_exactness` suite).
+    #[test]
+    fn supply_rounding_and_wheel_buckets_match_libm() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let wheel = WakeWheel::new(10.0, WakeWheel::SHARD_LEN);
+        let mut uploads = vec![
+            0.0,
+            0.5 / UPLOAD_SCALE,
+            1.5 / UPLOAD_SCALE,
+            2.5,
+            1e4,
+            1.25e6,
+        ];
+        for _ in 0..20_000 {
+            uploads.push((next() % (1 << 40)) as f64 / 4096.0);
+        }
+        for base in uploads.clone() {
+            uploads.extend([base.next_up(), base.next_down().max(0.0)]);
+        }
+        for &cap in &uploads {
+            for eff in [1.0, 0.8, 1.0 / 3.0] {
+                let want = (cap * eff * UPLOAD_SCALE).round() as u64;
+                assert_eq!(quantize_usable(cap, eff), want, "usable({cap:e}, {eff})");
+            }
+            let t = cap * 0.37;
+            assert_eq!(
+                wheel.abs_bucket(t),
+                (t / 10.0).floor() as i64,
+                "bucket({t:e})"
+            );
+        }
     }
 
     #[test]

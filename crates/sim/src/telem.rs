@@ -31,6 +31,12 @@ use crate::faults::FaultStats;
 /// overestimate). With a period co-prime to the interval the sampled
 /// phase walks through every residue, so periodic spikes are sampled
 /// at their true 1-in-`STAGE_TIME_SAMPLE` rate.
+///
+/// Even a co-prime period samples round 0, and round 0 carries the
+/// bootstrap provisioning boundary, the most expensive one of a run.
+/// Provisioning is therefore not sampled at all: `stage/provisioning`
+/// is credited at scale 1 from the same measurement as
+/// `prov/interval`.
 pub const STAGE_TIME_SAMPLE: u64 = 17;
 
 /// Shorthand for declaring the catalog below.
@@ -59,6 +65,9 @@ const fn h(name: &'static str, unit: &'static str) -> Spec {
 /// engines time one round in [`STAGE_TIME_SAMPLE`] and scale by the
 /// period (see [`Telemetry::stage_clock_sampled`]), so a clock read per
 /// stage boundary is paid on ~6 % of rounds instead of all of them.
+/// The exception is `stage/provisioning`, an exact unsampled total
+/// (`prov/interval`, plus the fault boundaries and the federated
+/// simulator's emergency re-plans).
 /// The DES engine times its event loop as one unsampled stage.
 pub const SPECS: &[Spec] = &[
     c("stage/provisioning", "ns"),
@@ -109,7 +118,8 @@ pub const SPECS: &[Spec] = &[
     h("hist/catchup_k", "count"),
 ];
 
-/// `stage/provisioning` — fault boundaries + the provisioning block.
+/// `stage/provisioning` — the provisioning and fault boundaries,
+/// unsampled.
 pub const STAGE_PROVISIONING: MetricId = MetricId(0);
 /// `stage/arrivals` — arrival ingestion.
 pub const STAGE_ARRIVALS: MetricId = MetricId(1);
@@ -188,7 +198,7 @@ pub const HIST_REGION_WALL: MetricId = MetricId(37);
 /// `run` — whole-run wall time (also the trace's top-level span).
 pub const RUN_WALL: MetricId = MetricId(38);
 /// `prov/interval` — one whole provisioning boundary (trace span; the
-/// stage counter equivalent is `stage/provisioning`).
+/// same measurement is credited to `stage/provisioning`).
 pub const PROV_INTERVAL: MetricId = MetricId(39);
 /// `stage/shard_step` — the sharded engine's whole-round fan-out
 /// (arrivals + allocation + advance + events happen inside the shards,

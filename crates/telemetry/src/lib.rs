@@ -429,9 +429,19 @@ pub struct Span<'a> {
     start: Option<Instant>,
 }
 
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        let Some(start) = self.start else { return };
+impl Span<'_> {
+    /// Closes the span now, recording it exactly as dropping it would,
+    /// and returns the nanoseconds it credited (0 on a disabled
+    /// registry) — so one unsampled measurement can feed a second
+    /// counter too.
+    pub fn finish(mut self) -> u64 {
+        self.close()
+    }
+
+    fn close(&mut self) -> u64 {
+        let Some(start) = self.start.take() else {
+            return 0;
+        };
         let end = Instant::now();
         let ns = u64::try_from(end.duration_since(start).as_nanos()).unwrap_or(u64::MAX);
         self.tel.cell(self.id).fetch_add(ns, Ordering::Relaxed);
@@ -443,6 +453,13 @@ impl Drop for Span<'_> {
                 end_ns,
             );
         }
+        ns
+    }
+}
+
+impl Drop for Span<'_> {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -816,6 +833,19 @@ mod tests {
         let ends = trace.matches("\"ph\":\"E\"").count();
         assert_eq!(begins, 2);
         assert_eq!(begins, ends);
+    }
+
+    #[test]
+    fn finished_span_records_once_and_returns_its_time() {
+        let tel = Telemetry::with_trace(SPECS);
+        let span = tel.span(A);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let ns = span.finish();
+        assert!(ns >= 1_000_000);
+        assert_eq!(tel.snapshot().value(A), ns);
+        assert_eq!(tel.trace_json().matches("\"ph\":\"B\"").count(), 1);
+        let off = Telemetry::disabled();
+        assert_eq!(off.span(A).finish(), 0);
     }
 
     #[test]
