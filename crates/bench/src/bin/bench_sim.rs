@@ -1,8 +1,9 @@
 //! Simulator performance benchmark: measures the reference (`Scan`) and
 //! production (`Indexed`) round engines end-to-end in both streaming
-//! modes, plus the allocation-kernel microbenchmarks, and writes the
-//! results as machine-readable `BENCH_sim.json` so the perf trajectory
-//! is tracked from PR to PR.
+//! modes, plus the allocation-kernel microbenchmarks, and merges the
+//! results into machine-readable `BENCH_sim.json` so the perf trajectory
+//! is tracked from PR to PR. Each top-level key it owns is replaced in
+//! place; sections written by the other benchmark binaries are kept.
 //!
 //! Usage: `bench_sim [--hours N] [--out PATH]`
 //!   - `--hours` simulated horizon per run (default 24; use 168 for the
@@ -12,9 +13,11 @@
 
 use std::time::Instant;
 
+use cloudmedia_bench::geo_sim::append_sections;
 use cloudmedia_sim::allocation::{allocate_pool, allocate_pool_into, allocate_pool_sparse};
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
-use cloudmedia_sim::simulator::{last_phase_profile, PhaseProfile, Simulator};
+use cloudmedia_sim::simulator::Simulator;
+use cloudmedia_sim::telem;
 use serde::Serialize;
 
 /// One end-to-end measurement.
@@ -29,7 +32,16 @@ struct E2eResult {
     ns_per_round: f64,
     mean_quality: f64,
     peak_peers: usize,
-    phases: Option<PhaseProfile>,
+    /// Wall time per round-loop stage the run used (`stage/*` in the
+    /// telemetry registry), largest first.
+    stages: Vec<StageTime>,
+}
+
+/// One `stage/*` counter of a run, in seconds.
+#[derive(Debug, Serialize)]
+struct StageTime {
+    name: String,
+    seconds: f64,
 }
 
 /// One microbenchmark measurement.
@@ -50,7 +62,7 @@ struct Speedups {
     allocate_pool_sparse_vs_naive: f64,
 }
 
-/// Full report serialized to `BENCH_sim.json`.
+/// Full report merged into `BENCH_sim.json`, one top-level key each.
 #[derive(Debug, Serialize)]
 struct Report {
     schema: String,
@@ -85,8 +97,6 @@ fn main() {
         }
     }
 
-    // Capture per-phase breakdowns for the stage-level speedups.
-    std::env::set_var("CLOUDMEDIA_PROFILE", "1");
     let mut e2e = Vec::new();
     let mut wall = [[0.0_f64; 2]; 2];
     let mut alloc_stage = [[0.0_f64; 2]; 2];
@@ -102,15 +112,28 @@ fn main() {
             cfg.trace.horizon_seconds = hours * 3600.0;
             cfg.kernel = kernel;
             let rounds = (cfg.trace.horizon_seconds / cfg.round_seconds).ceil() as u64;
+            // A live registry per run: its `stage/*` counters give the
+            // per-stage breakdown and the allocation-stage speedup.
+            let tel = telem::new_registry(false);
             let start = Instant::now();
             let metrics = Simulator::new(cfg)
                 .expect("paper config is valid")
-                .run()
-                .expect("benchmark run succeeds");
+                .run_with_telemetry(&tel)
+                .expect("benchmark run succeeds")
+                .metrics;
             let secs = start.elapsed().as_secs_f64();
             wall[mi][ki] = secs;
-            let phases = last_phase_profile();
-            alloc_stage[mi][ki] = phases.map_or(0.0, |p| p.allocation);
+            let snap = tel.snapshot();
+            alloc_stage[mi][ki] = snap.value(telem::STAGE_ALLOCATION) as f64 * 1e-9;
+            let stages = snap
+                .sorted_by_value("stage/")
+                .into_iter()
+                .filter(|&(_, ns)| ns > 0)
+                .map(|(name, ns)| StageTime {
+                    name: name.into(),
+                    seconds: ns as f64 * 1e-9,
+                })
+                .collect();
             eprintln!(
                 "{mode:?}/{kernel:?} {hours}h: {secs:.3}s wall ({:.0} sim-hours/s)",
                 hours / secs
@@ -125,7 +148,7 @@ fn main() {
                 ns_per_round: secs * 1e9 / rounds as f64,
                 mean_quality: metrics.mean_quality(),
                 peak_peers: metrics.peak_peers(),
-                phases,
+                stages,
             });
         }
     }
@@ -154,15 +177,15 @@ fn main() {
             "End-to-end ratios are Amdahl-capped by work shared between the \
              engines (viewing-model event processing, hourly provisioning, \
              trace generation); the kernel and per-stage ratios show the \
-             refactor's effect in isolation. Set CLOUDMEDIA_PROFILE=1 for a \
-             per-phase breakdown."
+             refactor's effect in isolation. Each e2e row's `stages` lists the \
+             telemetry registry's `stage/*` wall times (`cloudmedia profile` \
+             prints the same table)."
                 .into(),
         ],
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, json).expect("write BENCH_sim.json");
+    append_sections(&out_path, &report).expect("write BENCH_sim.json");
     println!(
-        "wrote {out_path}: C/S {:.2}x, P2P {:.2}x end-to-end (indexed vs scan)",
+        "updated {out_path}: C/S {:.2}x, P2P {:.2}x end-to-end (indexed vs scan)",
         report.speedups.client_server_e2e, report.speedups.p2p_e2e
     );
 }

@@ -258,6 +258,30 @@ pub fn append_section(out_path: &str, marker_key: &str, section_json: &str) -> s
     std::fs::write(out_path, text + "\n")
 }
 
+/// Merges every top-level key of `report` into the benchmark file, one
+/// [`append_section`] call per key, so a tool that owns several keys
+/// refreshes them without dropping the sections other tools wrote.
+///
+/// # Errors
+///
+/// Fails when `report` does not serialize to a JSON object, and with
+/// any [`append_section`] error.
+pub fn append_sections<T: Serialize>(out_path: &str, report: &T) -> std::io::Result<()> {
+    let serde::Value::Object(fields) = report.to_value() else {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "report is not a JSON object",
+        ));
+    };
+    for (key, value) in fields {
+        let json = serde_json::to_string_pretty(&value).map_err(|e| {
+            std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{key}: {e}"))
+        })?;
+        append_section(out_path, &key, &json)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,6 +390,44 @@ mod tests {
         append_section(&path, "resilience", "[0.25, -3]").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), once);
         assert_eq!(keys(&path), ["schema", "geo_federation", "resilience"]);
+    }
+
+    #[test]
+    fn append_sections_keeps_foreign_sections() {
+        // The shape `bench_sim` writes: a handful of top-level keys, one
+        // of which (`schema`) the file already has.
+        #[derive(Serialize)]
+        struct Report {
+            schema: String,
+            e2e: Vec<f64>,
+            notes: Vec<String>,
+        }
+        let path = scratch_file(
+            "foreign.json",
+            Some(
+                r#"{"schema": "cloudmedia-bench-sim/v1", "e2e": [9.0], "des_comparison": {"kept": true}}"#,
+            ),
+        );
+        let report = Report {
+            schema: "cloudmedia-bench-sim/v1".into(),
+            e2e: vec![1.5, 2.5],
+            notes: vec!["n".into()],
+        };
+        append_sections(&path, &report).unwrap();
+        assert_eq!(keys(&path), ["schema", "e2e", "des_comparison", "notes"]);
+        let parsed: serde::Value =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(
+            parsed.get("des_comparison").and_then(|d| d.get("kept")),
+            Some(&serde::Value::Bool(true))
+        );
+        assert_eq!(
+            parsed.get("e2e"),
+            Some(&serde::Value::Array(vec![
+                serde::Value::Float(1.5),
+                serde::Value::Float(2.5)
+            ]))
+        );
     }
 
     #[test]

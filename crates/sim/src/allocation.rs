@@ -72,13 +72,6 @@ pub fn allocate_pool_into(demands: &[f64], pool: f64, out: &mut [f64], order: &m
 /// remaining pool and the share arithmetic untouched), the values written
 /// for in-mask slots are bit-identical to a dense
 /// [`allocate_pool_into`] call over the full slice.
-///
-/// The `total <= pool` exact-copy branch is also the keystone of the
-/// quiescence engine: an under-subscribed channel gets `out[k] =
-/// demands[k]` *verbatim* — not a proportional share that merely rounds
-/// to it — so every served ratio is exactly `1.0` and a quiescent
-/// epoch's cached allocation stays bit-for-bit valid as long as demand
-/// fits the pool (see the epoch engine in `simulator.rs`).
 pub fn allocate_pool_sparse(
     demands: &[f64],
     pool: f64,

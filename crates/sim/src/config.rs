@@ -187,24 +187,15 @@ pub struct SimConfig {
     /// Multiplier on the paper's Table II/III cloud capacity (fleet
     /// sizes and NFS storage; per-VM bandwidth and prices unchanged).
     /// 1.0 is the paper testbed — 150 VMs sized for ~2500 concurrent
-    /// viewers; [`SimConfig::scale_out`] grows it (and the budgets) in
-    /// proportion to the target population.
+    /// viewers on 20 channels; [`SimConfig::scale_out`] grows it (and
+    /// the budgets) in proportion to the target population or the
+    /// channel count, whichever needs more.
     pub fleet_scale: f64,
     /// The deterministic fault plane: timed fleet failures, site
     /// outages, tracker dropouts, and cost shocks every engine replays
     /// identically (see [`crate::faults`] and `docs/RESILIENCE.md`).
     /// Empty by default — no faults.
     pub faults: FaultSchedule,
-    /// Quiescence-aware epoch engine (the [`SimKernel::Sharded`] hot
-    /// path; see `docs/SCALING.md` "Quiescence and epochs"). When a
-    /// channel's inputs are provably steady, its shard enters an
-    /// **epoch**: downloads are virtualized as integer demand deltas on
-    /// the 1/1024 fixed-point grid and event-free rounds are skipped
-    /// outright, fast-forwarding peers in closed form when next
-    /// observed. Skipped rounds are bit-identical to stepped ones
-    /// (pinned by `crates/sim/tests/quiesce_invariance.rs`). On by
-    /// default; `--no-quiesce` (or `"quiescence": false`) disables it.
-    pub quiescence: bool,
 }
 
 impl serde::Deserialize for SimConfig {
@@ -262,12 +253,6 @@ impl serde::Deserialize for SimConfig {
                 Some(value) => serde::Deserialize::from_value(value)?,
                 None => FaultSchedule::default(),
             },
-            // Optional: configs written before the quiescence engine
-            // existed load with it on (results are bit-identical).
-            quiescence: match v.get("quiescence") {
-                Some(value) => serde::Deserialize::from_value(value)?,
-                None => true,
-            },
         })
     }
 }
@@ -317,7 +302,6 @@ impl SimConfig {
             lanes: 0,
             fleet_scale: 1.0,
             faults: FaultSchedule::default(),
-            quiescence: true,
         }
     }
 
@@ -349,10 +333,12 @@ impl SimConfig {
         cfg.kernel = SimKernel::Sharded;
         cfg.parallel_channels = true;
         // The paper testbed (150 VMs, $100/h + $1/h budgets) serves
-        // ~2500 concurrent viewers; grow capacity and budgets in
-        // proportion so the controller's optimization stays feasible at
-        // any population.
-        let factor = (population / 2500.0).max(1.0);
+        // ~2500 concurrent viewers over 20 channels; grow capacity and
+        // budgets in proportion to whichever outgrows it, viewers or
+        // channels, so the controller's optimization stays feasible on
+        // sparse catalogs too (every channel with viewers needs VMs of
+        // its own).
+        let factor = (population / 2500.0).max(channels as f64 / 20.0).max(1.0);
         cfg.fleet_scale = factor;
         cfg.vm_budget_per_hour *= factor;
         cfg.storage_budget_per_hour *= factor;
@@ -538,15 +524,18 @@ mod tests {
     }
 
     #[test]
-    fn config_json_without_quiescence_field_still_loads() {
+    fn config_json_with_stale_quiescence_key_parses_as_without_it() {
+        // Configs written while the quiescent-epoch engine existed carry
+        // `"quiescence"`; unknown keys are ignored, so they load as the
+        // same config without it.
         let cfg = SimConfig::paper_default(SimMode::P2p);
         let serde::Value::Object(mut fields) = serde::Serialize::to_value(&cfg) else {
             panic!("config serializes to an object");
         };
-        fields.retain(|(k, _)| k != "quiescence");
-        let legacy = serde::Value::Object(fields);
-        let parsed = <SimConfig as serde::Deserialize>::from_value(&legacy).unwrap();
-        assert!(parsed.quiescence, "defaults to quiescence on");
+        assert!(fields.iter().all(|(k, _)| k != "quiescence"));
+        fields.push(("quiescence".to_string(), serde::Value::Bool(false)));
+        let stale = serde::Value::Object(fields);
+        let parsed = <SimConfig as serde::Deserialize>::from_value(&stale).unwrap();
         assert_eq!(parsed, cfg);
     }
 
@@ -589,6 +578,36 @@ mod tests {
         cfg.validate().unwrap();
         assert!(SimConfig::scale_out(SimMode::P2p, 0, 25_000.0).is_err());
         assert!(SimConfig::scale_out(SimMode::P2p, 10, -5.0).is_err());
+    }
+
+    #[test]
+    fn scale_out_fleet_factor_covers_viewers_and_channels() {
+        let factor = |channels, population| {
+            let cfg = SimConfig::scale_out(SimMode::ClientServer, channels, population).unwrap();
+            let paper = SimConfig::paper_default(SimMode::ClientServer);
+            assert_eq!(
+                cfg.vm_budget_per_hour,
+                paper.vm_budget_per_hour * cfg.fleet_scale
+            );
+            assert_eq!(
+                cfg.storage_budget_per_hour,
+                paper.storage_budget_per_hour * cfg.fleet_scale
+            );
+            cfg.fleet_scale
+        };
+        // Population-bound points that ran before the channel term
+        // existed keep their factor: the 1M sweep, the 200k steady and
+        // flash-crowd runs, the steady golden, the sharding test.
+        assert_eq!(factor(2000, 1_000_000.0), 400.0);
+        assert_eq!(factor(400, 200_000.0), 80.0);
+        assert_eq!(factor(1, 200_000.0), 80.0);
+        assert_eq!(factor(16, 1500.0), 1.0);
+        assert_eq!(factor(100, 50_000.0), 20.0);
+        // Sparse catalogs are sized by their channel count.
+        assert_eq!(factor(400, 10_000.0), 20.0);
+        assert_eq!(factor(400, 20_000.0), 20.0);
+        assert_eq!(factor(300, 25_000.0), 15.0);
+        assert_eq!(factor(500, 50_000.0), 25.0);
     }
 
     #[test]

@@ -128,6 +128,19 @@ fn mega_catalog_smoke_runs_serial_and_parallel() {
     }
 }
 
+/// A sparse catalog — many channels per viewer — sizes its fleet by
+/// channel count, so provisioning stays feasible and the run completes
+/// (sized by population alone, 10k viewers get 600 VMs where the
+/// controller needs ~750).
+#[test]
+fn sparse_mega_catalog_runs_to_completion() {
+    let mut cfg = SimConfig::scale_out(SimMode::ClientServer, 400, 10_000.0).unwrap();
+    cfg.trace.horizon_seconds = 3600.0;
+    let m = Simulator::new(cfg).unwrap().run().unwrap();
+    assert!(m.peak_peers() > 0, "the ramp admitted nobody");
+    assert!(m.mean_quality() > 0.9, "quality {}", m.mean_quality());
+}
+
 /// The federated simulator must refuse the sharded kernel (regions
 /// already own the worker pool) with actionable guidance.
 #[test]
