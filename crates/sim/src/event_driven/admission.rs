@@ -69,7 +69,7 @@ const GAP_EWMA_WEIGHT: f64 = 0.05;
 /// A request waiting for a free server.
 #[derive(Debug, Clone, Copy)]
 struct QueuedRequest {
-    session: u64,
+    session: usize,
     chunk: usize,
     enqueued_at: f64,
 }
@@ -268,24 +268,17 @@ impl Admission {
         self.channels[c].busy += 1;
         self.refresh_channel(c);
         let service = self.chunk_bytes / self.vm_bandwidth;
-        // Release fires before delivery at the same instant (FIFO), so a
-        // queued request takes the freed server before the delivered
-        // session's follow-up request arrives.
+        // The release is handled before the delivery (see the engine
+        // loop), so a queued request takes the freed server before the
+        // delivered session's follow-up request arrives.
         kernel.schedule_in(
             service,
             ADMISSION,
             CmEvent::TransferDone {
                 channel: c,
                 cloud: true,
-            },
-        );
-        kernel.schedule_in(
-            service,
-            SESSIONS,
-            CmEvent::Delivered {
                 session: req.session,
                 chunk: req.chunk,
-                admission_wait: wait,
             },
         );
     }
@@ -369,15 +362,8 @@ impl Component<CmEvent> for Admission {
                         CmEvent::TransferDone {
                             channel: c,
                             cloud: false,
-                        },
-                    );
-                    kernel.schedule_in(
-                        transfer,
-                        SESSIONS,
-                        CmEvent::Delivered {
                             session,
                             chunk,
-                            admission_wait: 0.0,
                         },
                     );
                     return;
@@ -402,11 +388,7 @@ impl Component<CmEvent> for Admission {
                             kernel.schedule_in(
                                 transfer + remote.extra_latency,
                                 SESSIONS,
-                                CmEvent::Delivered {
-                                    session,
-                                    chunk,
-                                    admission_wait: 0.0,
-                                },
+                                CmEvent::Delivered { session, chunk },
                             );
                             return;
                         }
@@ -439,7 +421,7 @@ impl Component<CmEvent> for Admission {
                     self.channels[c].waiting.push_back(req);
                 }
             }
-            CmEvent::TransferDone { channel, cloud } => {
+            CmEvent::TransferDone { channel, cloud, .. } => {
                 self.advance(now);
                 self.deliveries += 1;
                 if cloud {

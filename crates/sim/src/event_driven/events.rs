@@ -28,19 +28,18 @@ pub(crate) enum CmEvent {
     /// A waiting session's timer fired (prefetch gate opened, or playback
     /// drained before departure).
     Wake {
-        /// Session id.
-        session: u64,
+        /// Session slot.
+        session: usize,
     },
-    /// A requested chunk finished downloading.
+    /// A chunk served by the remote overflow site reached its session.
+    /// Only that path needs its own event: the delivery lands
+    /// `extra_latency` after the remote slot frees. Cloud and peer
+    /// deliveries ride on their `TransferDone` instead.
     Delivered {
-        /// Session id.
-        session: u64,
+        /// Session slot.
+        session: usize,
         /// The chunk delivered.
         chunk: usize,
-        /// Admission wait the request experienced (for startup/stall
-        /// attribution the session does not need it, but scenarios print
-        /// per-delivery waits in debug runs).
-        admission_wait: f64,
     },
     /// Scenario injection: `extra` viewers arrive at `channel` over the
     /// next `window` seconds.
@@ -56,8 +55,8 @@ pub(crate) enum CmEvent {
     // ---- delivered to ADMISSION ----
     /// A session requests a chunk (the session tracks its own deadline).
     ChunkRequest {
-        /// Session id.
-        session: u64,
+        /// Session slot.
+        session: usize,
         /// Channel.
         channel: usize,
         /// Chunk requested.
@@ -68,13 +67,17 @@ pub(crate) enum CmEvent {
         /// time by the sessions component (which owns the buffers).
         owner_upload: f64,
     },
-    /// A transfer admitted earlier finishes now; release its server or
-    /// pool share.
+    /// A transfer admitted earlier finishes now: release its server or
+    /// pool share, then the engine hands the chunk to its session.
     TransferDone {
         /// Channel.
         channel: usize,
         /// True if the transfer was cloud-served (occupied a VM).
         cloud: bool,
+        /// Session slot the chunk is delivered to.
+        session: usize,
+        /// The chunk delivered.
+        chunk: usize,
     },
     /// A transfer redirected to the remote overflow site finishes now;
     /// release its remote slot (remote slots are one global pool, so no
@@ -109,29 +112,6 @@ pub(crate) enum CmEvent {
     /// A scheduled repair is due: lift the availability cap and restore
     /// the last planned VM targets.
     VmRecovery,
-    /// Tracker measurement: a viewer joined `channel` at `chunk`.
-    TrackJoin {
-        /// Channel.
-        channel: usize,
-        /// Start chunk.
-        chunk: usize,
-    },
-    /// Tracker measurement: a chunk-to-chunk transition.
-    TrackTransition {
-        /// Channel.
-        channel: usize,
-        /// From chunk.
-        from: usize,
-        /// To chunk.
-        to: usize,
-    },
-    /// Tracker measurement: a departure after `from`.
-    TrackLeave {
-        /// Channel.
-        channel: usize,
-        /// Last chunk watched.
-        from: usize,
-    },
 
     // ---- delivered to ENGINE ----
     /// Metrics sampling boundary.

@@ -1,9 +1,10 @@
 //! The provisioning component: the paper's control path, event-driven.
 //!
 //! Runs the *identical* hourly pipeline as the round engines — tracker
-//! measurements (fed by `Track*` events from the sessions component)
-//! into the model-driven controller or a baseline planner, the resulting
-//! VM targets and placement through the cloud broker, usage-time billing
+//! measurements (handed over by the engine loop from the sessions
+//! component's observation outbox, see [`Provisioner::observe`]) into
+//! the model-driven controller or a baseline planner, the resulting VM
+//! targets and placement through the cloud broker, usage-time billing
 //! — but at event granularity: boot and shutdown completions fire
 //! `CloudSync` events that re-announce the online capacity to the
 //! admission component mid-interval, which is what makes VM boot delay
@@ -23,6 +24,7 @@ use cloudmedia_cloud::scheduler::PlacementPlan;
 use cloudmedia_cloud::vm::{DEFAULT_BOOT_SECONDS, DEFAULT_SHUTDOWN_SECONDS};
 use cloudmedia_core::controller::ProvisioningPlan;
 use cloudmedia_des::{Component, Event, Kernel};
+use cloudmedia_workload::stats::Observation;
 
 use super::events::{CmEvent, ADMISSION, PROVISIONER};
 use super::DesScenario;
@@ -45,7 +47,7 @@ pub struct Provisioner {
     channel_reserved: Vec<f64>,
     current_placement: Option<PlacementPlan>,
     /// Connected sessions per channel, maintained from join/leave
-    /// tracking events.
+    /// observations.
     counts: Vec<usize>,
     intervals: Vec<IntervalRecord>,
     first_interval: bool,
@@ -173,6 +175,27 @@ impl Provisioner {
     pub(crate) fn take_fault_stats(&mut self) -> FaultStats {
         self.stats.vms_killed = self.vms_killed;
         std::mem::take(&mut self.stats)
+    }
+
+    /// Records one tracker observation on `channel`, as the engine loop
+    /// hands it over. The tracker and `counts` are read only by the
+    /// hourly `ProvisionTick`, so the observation lands in the same
+    /// interval a zero-delay event would (see the `event_driven` module
+    /// docs for the argument).
+    pub(crate) fn observe(&mut self, channel: usize, observation: Observation) {
+        match observation {
+            Observation::Join { chunk } => {
+                self.tracker.record_join(channel, chunk);
+                self.counts[channel] += 1;
+            }
+            Observation::Transition { from, to } => {
+                self.tracker.record_transition(channel, from, to);
+            }
+            Observation::Leave { from } => {
+                self.tracker.record_leave(channel, from);
+                self.counts[channel] = self.counts[channel].saturating_sub(1);
+            }
+        }
     }
 
     /// Announces the current capacity to the admission component.
@@ -360,20 +383,6 @@ impl Component<CmEvent> for Provisioner {
             }),
             CmEvent::VmFailure { fraction } => self.fail_vms(now, fraction, kernel),
             CmEvent::VmRecovery => self.recover_vms(now, kernel),
-            CmEvent::TrackJoin { channel, chunk } => {
-                self.tracker.record_join(channel, chunk);
-                self.counts[channel] += 1;
-                Ok(())
-            }
-            CmEvent::TrackTransition { channel, from, to } => {
-                self.tracker.record_transition(channel, from, to);
-                Ok(())
-            }
-            CmEvent::TrackLeave { channel, from } => {
-                self.tracker.record_leave(channel, from);
-                self.counts[channel] = self.counts[channel].saturating_sub(1);
-                Ok(())
-            }
             other => unreachable!("provisioner received {other:?}"),
         };
         if let Err(e) = result {

@@ -3,30 +3,30 @@
 //! Owns every connected session: arrivals (pulled lazily from the
 //! streaming trace iterator, one `NextArrival` event per arrival),
 //! the viewing-model walk after each delivered chunk, prefetch gating,
-//! stall accounting, and departures. Everything the rest of the system
-//! needs to know leaves as events: `ChunkRequest` / `PoolUpdate` to the
-//! admission component, `TrackJoin` / `TrackTransition` / `TrackLeave`
-//! to the provisioner's tracker — exactly the measurements the paper's
-//! tracking server collects.
-
-use std::collections::BTreeMap;
+//! stall accounting, and departures. What the admission component needs
+//! leaves as events (`ChunkRequest`, `PoolUpdate`). The joins,
+//! transitions and departures the paper's tracking server collects go
+//! into an observation outbox, which the engine loop drains into the
+//! provisioner after every sessions dispatch.
+//!
+//! Sessions live in a slab: a slot vector plus a free list. Events
+//! address a session by its slot, and a slot is reused only after its
+//! session departed — which happens only with no `Wake` or transfer
+//! pending for it, so no stale event can reach the slot's next tenant.
 
 use cloudmedia_des::{Component, Event, Kernel};
 use cloudmedia_workload::catalog::Catalog;
 use cloudmedia_workload::distributions::BoundedPareto;
+use cloudmedia_workload::stats::Observation;
 use cloudmedia_workload::trace::{ArrivalStream, UserArrival};
 use cloudmedia_workload::viewing::NextAction;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use super::events::{CmEvent, ADMISSION, PROVISIONER, SESSIONS};
+use super::events::{CmEvent, ADMISSION, SESSIONS};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::peer::{PendingChunk, PREFETCH_WINDOWS};
-
-/// Session ids injected by flash-crowd bursts start here, far above any
-/// trace user id.
-const SYNTHETIC_ID_BASE: u64 = 1 << 40;
 
 /// What one session is doing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,8 +75,14 @@ pub struct Sessions {
     stream: ArrivalStream,
     /// The arrival the pending `NextArrival` event will admit.
     pending_arrival: Option<UserArrival>,
-    /// Connected sessions, ordered by id (deterministic iteration).
-    sessions: BTreeMap<u64, Session>,
+    /// Session slab: `None` marks a free slot. Iteration order is slot
+    /// order, which only the sampler's integer counts ever see.
+    slots: Vec<Option<Session>>,
+    /// Free slots, reused last-freed first.
+    free: Vec<usize>,
+    /// Tracker observations `(channel, observation)` not yet handed to
+    /// the provisioner; reused across dispatches.
+    observations: Vec<(usize, Observation)>,
     /// Usable (efficiency-scaled) upload pool per channel.
     pool: Vec<f64>,
     /// Per-channel, per-chunk usable upload of the chunk's owners — the
@@ -85,7 +91,6 @@ pub struct Sessions {
     owner_upload: Vec<Vec<f64>>,
     /// Upload-capacity distribution for injected viewers.
     upload_dist: BoundedPareto,
-    next_synthetic_id: u64,
     injected: u64,
     /// The configuration's fault schedule (arrival shedding under
     /// [`crate::faults::DegradeMode::ShedNewArrivals`]).
@@ -118,7 +123,9 @@ impl Sessions {
             sample_window: cfg.sample_interval,
             stream,
             pending_arrival: None,
-            sessions: BTreeMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            observations: Vec::new(),
             pool: vec![0.0; cfg.catalog.len()],
             owner_upload: cfg
                 .catalog
@@ -127,7 +134,6 @@ impl Sessions {
                 .map(|spec| vec![0.0; spec.viewing.chunks])
                 .collect(),
             upload_dist,
-            next_synthetic_id: SYNTHETIC_ID_BASE,
             injected: 0,
             faults: cfg.faults.clone(),
             shed: 0,
@@ -154,31 +160,43 @@ impl Sessions {
         self.shed
     }
 
+    /// The tracker observations recorded since the last drain, in the
+    /// order they happened.
+    pub(crate) fn drain_observations(&mut self) -> std::vec::Drain<'_, (usize, Observation)> {
+        self.observations.drain(..)
+    }
+
     /// Admits one viewer: creates the session and announces it.
     fn join(
         &mut self,
         kernel: &mut Kernel<CmEvent>,
-        id: u64,
         channel: usize,
         start_chunk: usize,
         upload: f64,
     ) {
         let now = kernel.now();
         let usable = upload * self.eff;
-        self.sessions.insert(
-            id,
-            Session {
-                channel,
-                usable_upload: usable,
-                buffer: 0,
-                state: SessState::Downloading {
-                    chunk: start_chunk,
-                    deadline: f64::INFINITY,
-                },
-                last_stall_at: None,
-                joined_at: now,
+        let session = Session {
+            channel,
+            usable_upload: usable,
+            buffer: 0,
+            state: SessState::Downloading {
+                chunk: start_chunk,
+                deadline: f64::INFINITY,
             },
-        );
+            last_stall_at: None,
+            joined_at: now,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(session);
+                slot
+            }
+            None => {
+                self.slots.push(Some(session));
+                self.slots.len() - 1
+            }
+        };
         self.pool[channel] += usable;
         kernel.schedule_in(
             0.0,
@@ -188,19 +206,13 @@ impl Sessions {
                 usable_upload: self.pool[channel],
             },
         );
-        kernel.schedule_in(
-            0.0,
-            PROVISIONER,
-            CmEvent::TrackJoin {
-                channel,
-                chunk: start_chunk,
-            },
-        );
+        self.observations
+            .push((channel, Observation::Join { chunk: start_chunk }));
         kernel.schedule_in(
             0.0,
             ADMISSION,
             CmEvent::ChunkRequest {
-                session: id,
+                session: slot,
                 channel,
                 chunk: start_chunk,
                 owner_upload: self.owner_upload[channel]
@@ -212,11 +224,11 @@ impl Sessions {
     }
 
     /// Removes a departed session and announces the pool change.
-    fn depart(&mut self, kernel: &mut Kernel<CmEvent>, id: u64) {
-        let s = self
-            .sessions
-            .remove(&id)
+    fn depart(&mut self, kernel: &mut Kernel<CmEvent>, slot: usize) {
+        let s = self.slots[slot]
+            .take()
             .expect("departing session is connected");
+        self.free.push(slot);
         self.pool[s.channel] = (self.pool[s.channel] - s.usable_upload).max(0.0);
         let mut bits = s.buffer;
         while bits != 0 {
@@ -236,18 +248,57 @@ impl Sessions {
         );
     }
 
+    /// A requested chunk reached session `slot` now: buffer it, account
+    /// start-up delay or a stall, and walk the viewing model on. Called
+    /// by the engine right after the admission component released the
+    /// transfer, and by the remote-overflow `Delivered` event.
+    pub(crate) fn deliver(&mut self, kernel: &mut Kernel<CmEvent>, slot: usize, chunk: usize) {
+        let now = kernel.now();
+        let s = self.slots[slot]
+            .as_mut()
+            .expect("downloads belong to connected sessions");
+        let SessState::Downloading {
+            chunk: cur,
+            deadline,
+        } = s.state
+        else {
+            unreachable!("deliveries target downloading sessions");
+        };
+        debug_assert_eq!(cur, chunk);
+        s.buffer |= 1u64 << chunk;
+        let (ch, usable) = (s.channel, s.usable_upload);
+        if let Some(o) = self.owner_upload[ch].get_mut(chunk) {
+            *o += usable;
+        }
+        if deadline.is_finite() {
+            if now > deadline {
+                s.last_stall_at = Some(now);
+            }
+        } else {
+            // First chunk: playback starts now.
+            self.startup_sum += now - s.joined_at;
+            self.startup_count += 1;
+        }
+        let play_start = if deadline.is_finite() {
+            deadline.max(now)
+        } else {
+            now
+        };
+        self.advance_playback(kernel, slot, chunk, play_start + self.chunk_seconds);
+    }
+
     /// Walks the viewing model after `chunk` finished (or was found
     /// buffered): starts/gates the next download or schedules departure.
     /// `play_end` is the playback end time of `chunk`.
     fn advance_playback(
         &mut self,
         kernel: &mut Kernel<CmEvent>,
-        id: u64,
+        slot: usize,
         chunk: usize,
         mut play_end: f64,
     ) {
         let now = kernel.now();
-        let s = self.sessions.get(&id).expect("session is connected");
+        let s = self.slots[slot].as_ref().expect("session is connected");
         let channel = s.channel;
         let buffer = s.buffer;
         let viewing = self.catalog.channel(channel).viewing;
@@ -255,15 +306,13 @@ impl Sessions {
         loop {
             match viewing.sample_next(&mut self.rng, current) {
                 NextAction::Watch(next) => {
-                    kernel.schedule_in(
-                        0.0,
-                        PROVISIONER,
-                        CmEvent::TrackTransition {
-                            channel,
+                    self.observations.push((
+                        channel,
+                        Observation::Transition {
                             from: current,
                             to: next,
                         },
-                    );
+                    ));
                     if buffer & (1u64 << next) != 0 {
                         // Already buffered (a jump back): plays straight
                         // from the buffer; decide again after it.
@@ -272,7 +321,7 @@ impl Sessions {
                         continue;
                     }
                     let gate = play_end - PREFETCH_WINDOWS * self.chunk_seconds;
-                    let s = self.sessions.get_mut(&id).expect("session is connected");
+                    let s = self.slots[slot].as_mut().expect("session is connected");
                     if gate > now {
                         s.state = SessState::Waiting {
                             next: Some(PendingChunk {
@@ -280,7 +329,7 @@ impl Sessions {
                                 deadline: play_end,
                             }),
                         };
-                        kernel.schedule_at(gate, SESSIONS, CmEvent::Wake { session: id });
+                        kernel.schedule_at(gate, SESSIONS, CmEvent::Wake { session: slot });
                     } else {
                         s.state = SessState::Downloading {
                             chunk: next,
@@ -290,7 +339,7 @@ impl Sessions {
                             0.0,
                             ADMISSION,
                             CmEvent::ChunkRequest {
-                                session: id,
+                                session: slot,
                                 channel,
                                 chunk: next,
                                 owner_upload: self.owner_upload[channel]
@@ -303,21 +352,15 @@ impl Sessions {
                     return;
                 }
                 NextAction::Leave => {
-                    kernel.schedule_in(
-                        0.0,
-                        PROVISIONER,
-                        CmEvent::TrackLeave {
-                            channel,
-                            from: current,
-                        },
-                    );
+                    self.observations
+                        .push((channel, Observation::Leave { from: current }));
                     if play_end <= now {
-                        self.depart(kernel, id);
+                        self.depart(kernel, slot);
                     } else {
                         // Drain playback (still uploading), then depart.
-                        let s = self.sessions.get_mut(&id).expect("session is connected");
+                        let s = self.slots[slot].as_mut().expect("session is connected");
                         s.state = SessState::Waiting { next: None };
-                        kernel.schedule_at(play_end, SESSIONS, CmEvent::Wake { session: id });
+                        kernel.schedule_at(play_end, SESSIONS, CmEvent::Wake { session: slot });
                     }
                     return;
                 }
@@ -332,7 +375,9 @@ impl Sessions {
         let mut per_channel_peers = vec![0usize; n_channels];
         let mut per_channel_smooth = vec![0usize; n_channels];
         let mut smooth = 0usize;
-        for s in self.sessions.values() {
+        let mut active = 0usize;
+        for s in self.slots.iter().flatten() {
+            active += 1;
             per_channel_peers[s.channel] += 1;
             let stalled_recently = s
                 .last_stall_at
@@ -346,7 +391,6 @@ impl Sessions {
                 per_channel_smooth[s.channel] += 1;
             }
         }
-        let active = self.sessions.len();
         let quality = if active == 0 {
             1.0
         } else {
@@ -389,13 +433,7 @@ impl Component<CmEvent> for Sessions {
                 if self.faults.shed_arrivals_at(a.time) {
                     self.shed += 1;
                 } else {
-                    self.join(
-                        kernel,
-                        a.user_id,
-                        a.channel,
-                        a.start_chunk,
-                        a.upload_bytes_per_sec,
-                    );
+                    self.join(kernel, a.channel, a.start_chunk, a.upload_bytes_per_sec);
                 }
                 if let Some(next) = self.stream.next() {
                     kernel.schedule_at(next.time, SESSIONS, CmEvent::NextArrival);
@@ -421,15 +459,12 @@ impl Component<CmEvent> for Sessions {
                     .channel(channel)
                     .viewing
                     .sample_start_chunk(&mut self.rng);
-                let id = self.next_synthetic_id;
-                self.next_synthetic_id += 1;
                 self.injected += 1;
-                self.join(kernel, id, channel, start_chunk, upload);
+                self.join(kernel, channel, start_chunk, upload);
             }
             CmEvent::Wake { session } => {
-                let s = self
-                    .sessions
-                    .get_mut(&session)
+                let s = self.slots[session]
+                    .as_mut()
                     .expect("waiting sessions stay until they wake");
                 let SessState::Waiting { next } = s.state else {
                     unreachable!("wake events target waiting sessions");
@@ -458,40 +493,7 @@ impl Component<CmEvent> for Sessions {
                     None => self.depart(kernel, session),
                 }
             }
-            CmEvent::Delivered { session, chunk, .. } => {
-                let s = self
-                    .sessions
-                    .get_mut(&session)
-                    .expect("downloads belong to connected sessions");
-                let SessState::Downloading {
-                    chunk: cur,
-                    deadline,
-                } = s.state
-                else {
-                    unreachable!("deliveries target downloading sessions");
-                };
-                debug_assert_eq!(cur, chunk);
-                s.buffer |= 1u64 << chunk;
-                let (ch, usable) = (s.channel, s.usable_upload);
-                if let Some(o) = self.owner_upload[ch].get_mut(chunk) {
-                    *o += usable;
-                }
-                if deadline.is_finite() {
-                    if now > deadline {
-                        s.last_stall_at = Some(now);
-                    }
-                } else {
-                    // First chunk: playback starts now.
-                    self.startup_sum += now - s.joined_at;
-                    self.startup_count += 1;
-                }
-                let play_start = if deadline.is_finite() {
-                    deadline.max(now)
-                } else {
-                    now
-                };
-                self.advance_playback(kernel, session, chunk, play_start + self.chunk_seconds);
-            }
+            CmEvent::Delivered { session, chunk } => self.deliver(kernel, session, chunk),
             other => unreachable!("sessions received {other:?}"),
         }
     }

@@ -130,6 +130,23 @@ fn des_runs_are_deterministic() {
     assert_eq!(a.metrics, c, "facade runs the same engine");
 }
 
+/// The engine's per-request event budget. A delivered chunk costs about
+/// three kernel events: its `ChunkRequest`, its `TransferDone` (which
+/// also carries the delivery), and a share of `Wake`, `PoolUpdate` and
+/// arrival traffic. A separate delivery event or per-observation
+/// tracker events would push the ratio back above 5.
+#[test]
+fn des_event_budget_per_delivered_chunk() {
+    let d = des(&paper_cfg(SimMode::P2p, 6.0));
+    let (events, deliveries) = (d.report.events_delivered, d.report.deliveries);
+    assert!(deliveries > 10_000, "chunks flowed: {deliveries}");
+    let per_delivery = events as f64 / deliveries as f64;
+    assert!(
+        per_delivery < 3.5,
+        "{events} events for {deliveries} deliveries ({per_delivery:.2} per chunk)"
+    );
+}
+
 #[test]
 fn des_reports_admission_latency_percentiles() {
     let cfg = small_cfg(SimMode::ClientServer, 12.0);
